@@ -1,13 +1,14 @@
 //! Crash-point explorer for the WAL (`mube-serve/src/persist.rs`).
 //!
 //! Rather than interleaving threads, this model enumerates *crash points*:
-//! it builds a WAL image with the production frame format —
-//! `[len: u32 LE][crc: u32 LE][payload]`, payload =
-//! `[lsn: u64 LE][tag: u8][body]`, CRC = [`mube_serve::persist::crc32`]
-//! over the payload (the real function, so the model cannot drift from the
-//! codec) — then truncates it at **every byte offset** (every record *and*
-//! intra-record boundary) and replays with the same scan rules as
-//! production recovery. The invariant, for every cut:
+//! it builds a WAL image with the production encoder
+//! ([`mube_serve::persist::encode_frame`]) — `[len: u32 LE][crc: u32 LE]
+//! [payload]`, payload = `[lsn: u64 LE][tag: u8][body]` — then truncates it
+//! at **every byte offset** (every record *and* intra-record boundary) and
+//! replays it through the production frame decoder
+//! ([`mube_serve::persist::decode_frame_at`]), the one that boot recovery,
+//! `mube fsck` and the replication stream also call, so the explorer checks
+//! production rather than a copy. The invariant, for every cut:
 //!
 //! 1. **Prefix consistency**: the replayed records are exactly the first
 //!    `k` appended records, for some `k` — never reordered, invented, or
@@ -20,20 +21,22 @@
 //! still yields a strict prefix (detected via CRC, length sanity, or torn
 //! body — never a decoded garbage record).
 //!
-//! A third family of checks leaves the model codec behind and drives the
-//! **real** recovery path: it seeds a data directory through the production
-//! [`Journal`], then truncates `snapshot.wal` at every byte offset (and
-//! flips every bit) and calls the production [`Journal::open`] on the
-//! mutilated directory. For every mutation, open must return `Ok`, never
-//! panic, report the corruption, recover exactly a prefix of the sealed
-//! snapshot plus the surviving tail, stay writable, and recover the same
-//! state again on a second open.
+//! Both passes also feed every image, one byte at a time, to the
+//! production streaming consumer ([`FrameReader`], the follower's side of
+//! replication) and assert it yields exactly the frames replay returned,
+//! and that a torn cut is "need more bytes", never an error.
+//!
+//! A third family of checks drives the **real** recovery path: it seeds a
+//! data directory through the production [`Journal`], then truncates
+//! `snapshot.wal` at every byte offset (and flips every bit) and calls the
+//! production [`Journal::open`] on the mutilated directory. For every
+//! mutation, open must return `Ok`, never panic, report the corruption,
+//! recover exactly a prefix of the sealed snapshot plus the surviving tail,
+//! stay writable, and recover the same state again on a second open.
 
-use mube_serve::persist::{crc32, Event, FsyncPolicy, Journal};
+use mube_serve::persist::{decode_frame_at, encode_frame, Event, FsyncPolicy, Journal};
+use mube_serve::repl::FrameReader;
 use std::path::Path;
-
-/// Mirrors the production `MAX_RECORD_BYTES` length-sanity bound.
-const MAX_RECORD_BYTES: u32 = 64 * 1024 * 1024;
 
 /// One replayed record: `(lsn, tag, body)`.
 pub type Record = (u64, u8, Vec<u8>);
@@ -49,57 +52,43 @@ pub struct Replay {
     pub quarantined: usize,
 }
 
-/// Encodes one frame exactly as `persist.rs` does.
-#[must_use]
-pub fn encode_frame(lsn: u64, tag: u8, body: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(9 + body.len());
-    payload.extend_from_slice(&lsn.to_le_bytes());
-    payload.push(tag);
-    payload.extend_from_slice(body);
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(
-        &u32::try_from(payload.len())
-            .expect("small payload")
-            .to_le_bytes(),
-    );
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
-}
-
-/// Replays a WAL image with the production scan rules: stop at the first
-/// torn header, implausible length, torn body, or CRC mismatch; everything
-/// after that is quarantined.
+/// Replays a WAL image with the production frame decoder: stop at the
+/// first torn header, implausible length, torn body, or CRC mismatch;
+/// everything after that is quarantined.
 #[must_use]
 pub fn replay(data: &[u8]) -> Replay {
     let mut records = Vec::new();
     let mut pos = 0usize;
-    while pos < data.len() {
-        if pos + 8 > data.len() {
-            break; // torn frame header
-        }
-        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes"));
-        if !(9..=MAX_RECORD_BYTES).contains(&len) {
-            break; // implausible record length
-        }
-        let body_end = pos + 8 + len as usize;
-        if body_end > data.len() {
-            break; // torn record body
-        }
-        let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        let payload = &data[pos + 8..body_end];
-        if crc32(payload) != crc {
-            break; // CRC mismatch
-        }
-        let lsn = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-        records.push((lsn, payload[8], payload[9..].to_vec()));
-        pos = body_end;
+    while let Ok(frame) = decode_frame_at(data, pos) {
+        records.push((frame.lsn, frame.tag, frame.body.to_vec()));
+        pos = frame.end;
     }
     Replay {
         records,
         good_len: pos,
         quarantined: data.len() - pos,
     }
+}
+
+/// Feeds `image` to the production replication [`FrameReader`] one byte at
+/// a time. Returns the `(lsn, tag, body)` frames it yielded, and whether it
+/// reported the stream corrupt (it stops reading there, as the follower
+/// drops the connection).
+#[must_use]
+pub fn stream(image: &[u8]) -> (Vec<Record>, bool) {
+    let mut reader = FrameReader::new();
+    let mut frames = Vec::new();
+    for byte in image {
+        reader.feed(std::slice::from_ref(byte));
+        loop {
+            match reader.next_frame() {
+                Ok(Some(frame)) => frames.push((frame.lsn, frame.tag, frame.body().to_vec())),
+                Ok(None) => break,
+                Err(_) => return (frames, true),
+            }
+        }
+    }
+    (frames, false)
 }
 
 /// The modeled WAL: four records with varied body sizes (including an
@@ -133,6 +122,9 @@ pub fn check_all_crash_points() -> usize {
 
     for cut in 0..=full.len() {
         let r = replay(&full[..cut]);
+        let (streamed, corrupt) = stream(&full[..cut]);
+        assert!(!corrupt, "cut {cut}: a torn stream reported corruption");
+        assert_eq!(streamed, r.records, "cut {cut}: stream and replay disagree");
         // Prefix consistency: recovered records are exactly the first k.
         assert!(
             r.records.len() <= committed.len(),
@@ -178,6 +170,11 @@ pub fn check_all_bit_flips() -> usize {
             let mut img = full.clone();
             img[i] ^= bit;
             let r = replay(&img);
+            assert_eq!(
+                stream(&img).0,
+                r.records,
+                "flip at byte {i}: stream and replay disagree"
+            );
             assert!(
                 r.records.len() <= committed.len(),
                 "flip at byte {i}: invented records"
@@ -423,8 +420,8 @@ mod tests {
         assert!(explored > 100, "seed snapshot too small: {explored} flips");
     }
 
-    /// The model's codec is byte-identical to production for a frame the
-    /// production tests also pin (CRC via the exported `crc32`).
+    /// The production encoder lays a frame out as the explorer assumes
+    /// (CRC via the exported `crc32`).
     #[test]
     fn frame_layout_matches_production() {
         let frame = super::encode_frame(7, 2, b"xy");

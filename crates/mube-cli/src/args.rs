@@ -231,6 +231,112 @@ fn take_value<'a, I: Iterator<Item = &'a str>>(
         .ok_or_else(|| bad(format!("{flag} needs a value")))
 }
 
+/// Takes the value after `flag` and parses it as a `T`; a value that does
+/// not parse fails with "`flag` needs `what`".
+fn parse_value<'a, T: std::str::FromStr, I: Iterator<Item = &'a str>>(
+    flag: &str,
+    iter: &mut I,
+    what: &str,
+) -> Result<T, CliError> {
+    take_value(flag, iter)?
+        .parse()
+        .map_err(|_| bad(format!("{flag} needs {what}")))
+}
+
+/// [`parse_value`] for a count that must be at least 1.
+fn parse_count<'a, I: Iterator<Item = &'a str>>(
+    flag: &str,
+    iter: &mut I,
+) -> Result<usize, CliError> {
+    let n = parse_value(flag, iter, "an integer")?;
+    if n == 0 {
+        return Err(bad(format!("{flag} must be at least 1")));
+    }
+    Ok(n)
+}
+
+/// Parses a `--weight QEF=W` override.
+fn parse_weight<'a, I: Iterator<Item = &'a str>>(
+    flag: &str,
+    iter: &mut I,
+) -> Result<(String, f64), CliError> {
+    let spec = take_value(flag, iter)?;
+    let malformed = || bad(format!("{flag} needs QEF=W"));
+    let (name, value) = spec.split_once('=').ok_or_else(malformed)?;
+    let value = value.parse().map_err(|_| malformed())?;
+    Ok((name.to_string(), value))
+}
+
+/// Takes a `--solver` name, which must name a known solver.
+fn parse_solver<'a, I: Iterator<Item = &'a str>>(
+    flag: &str,
+    iter: &mut I,
+) -> Result<String, CliError> {
+    let solver = take_value(flag, iter)?;
+    if !["tabu", "sls", "annealing", "pso"].contains(&solver) {
+        return Err(bad(format!("unknown solver `{solver}`")));
+    }
+    Ok(solver.to_string())
+}
+
+/// The solver option group shared by `solve` and `scale-solve`: `--solver`,
+/// `--threads`, `--portfolio` and `--restarts`.
+struct SolverFlags {
+    solver: String,
+    threads: usize,
+    threads_given: bool,
+    portfolio: Option<String>,
+    restarts: usize,
+}
+
+impl SolverFlags {
+    fn new() -> Self {
+        SolverFlags {
+            solver: "tabu".to_string(),
+            threads: 1,
+            threads_given: false,
+            portfolio: None,
+            restarts: 1,
+        }
+    }
+
+    /// Consumes `flag` (and its value) when it belongs to the group;
+    /// `Ok(false)` leaves it to the caller.
+    fn take<'a, I: Iterator<Item = &'a str>>(
+        &mut self,
+        flag: &str,
+        iter: &mut I,
+    ) -> Result<bool, CliError> {
+        match flag {
+            "--solver" => self.solver = parse_solver(flag, iter)?,
+            "--threads" => {
+                self.threads = parse_count(flag, iter)?;
+                self.threads_given = true;
+            }
+            "--portfolio" => {
+                let spec = take_value(flag, iter)?;
+                mube_opt::parse_portfolio_spec(spec).map_err(bad)?;
+                self.portfolio = Some(spec.to_string());
+            }
+            "--restarts" => self.restarts = parse_count(flag, iter)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// `(solver, threads, portfolio, restarts)`. `--threads`/`--restarts`
+    /// imply portfolio mode (even `--threads 1`, so thread counts can be
+    /// compared on otherwise identical runs); give it the full default
+    /// member mix so the threads have work to spread.
+    fn finish(self) -> (String, usize, Option<String>, usize) {
+        let implied = self.threads_given || self.restarts > 1;
+        let portfolio = self
+            .portfolio
+            .or_else(|| implied.then(|| "tabu,sls,anneal,pso".to_string()));
+        (self.solver, self.threads, portfolio, self.restarts)
+    }
+}
+
 fn parse_domain(s: &str) -> Result<DomainKind, CliError> {
     match s {
         "books" => Ok(DomainKind::Books),
@@ -257,16 +363,8 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, CliError> {
             let mut out: Option<String> = None;
             while let Some(flag) = iter.next() {
                 match flag {
-                    "--sources" => {
-                        sources = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--sources needs an integer"))?;
-                    }
-                    "--seed" => {
-                        seed = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--seed needs an integer"))?;
-                    }
+                    "--sources" => sources = parse_value(flag, &mut iter, "an integer")?,
+                    "--seed" => seed = parse_value(flag, &mut iter, "an integer")?,
                     "--domain" => domain = parse_domain(take_value(flag, &mut iter)?)?,
                     "--paper-scale" => paper_scale = true,
                     "--out" => out = Some(take_value(flag, &mut iter)?.to_string()),
@@ -300,11 +398,7 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, CliError> {
             let mut sources = Vec::new();
             while let Some(flag) = iter.next() {
                 match flag {
-                    "--theta" => {
-                        theta = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--theta needs a number"))?;
-                    }
+                    "--theta" => theta = parse_value(flag, &mut iter, "a number")?,
                     "--sources" => {
                         sources = take_value(flag, &mut iter)?
                             .split(',')
@@ -331,82 +425,26 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, CliError> {
             let mut theta = 0.75f64;
             let mut beta = 2usize;
             let mut seed = 42u64;
-            let mut solver = "tabu".to_string();
-            let mut threads = 1usize;
-            let mut threads_given = false;
-            let mut portfolio: Option<String> = None;
-            let mut restarts = 1usize;
+            let mut solver_flags = SolverFlags::new();
             let mut time_budget_ms: Option<u64> = None;
             let mut pins = Vec::new();
             let mut weights = Vec::new();
             let mut explain = false;
             let mut json = false;
             while let Some(flag) = iter.next() {
+                if solver_flags.take(flag, &mut iter)? {
+                    continue;
+                }
                 match flag {
-                    "--max" => {
-                        max = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--max needs an integer"))?;
-                    }
-                    "--theta" => {
-                        theta = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--theta needs a number"))?;
-                    }
-                    "--beta" => {
-                        beta = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--beta needs an integer"))?;
-                    }
-                    "--seed" => {
-                        seed = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--seed needs an integer"))?;
-                    }
-                    "--solver" => {
-                        solver = take_value(flag, &mut iter)?.to_string();
-                        if !["tabu", "sls", "annealing", "pso"].contains(&solver.as_str()) {
-                            return Err(bad(format!("unknown solver `{solver}`")));
-                        }
-                    }
-                    "--threads" => {
-                        threads = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--threads needs an integer"))?;
-                        if threads == 0 {
-                            return Err(bad("--threads must be at least 1"));
-                        }
-                        threads_given = true;
-                    }
-                    "--portfolio" => {
-                        let spec = take_value(flag, &mut iter)?;
-                        mube_opt::parse_portfolio_spec(spec).map_err(bad)?;
-                        portfolio = Some(spec.to_string());
-                    }
-                    "--restarts" => {
-                        restarts = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--restarts needs an integer"))?;
-                        if restarts == 0 {
-                            return Err(bad("--restarts must be at least 1"));
-                        }
-                    }
+                    "--max" => max = parse_value(flag, &mut iter, "an integer")?,
+                    "--theta" => theta = parse_value(flag, &mut iter, "a number")?,
+                    "--beta" => beta = parse_value(flag, &mut iter, "an integer")?,
+                    "--seed" => seed = parse_value(flag, &mut iter, "an integer")?,
                     "--time-budget" => {
-                        time_budget_ms = Some(
-                            take_value(flag, &mut iter)?
-                                .parse()
-                                .map_err(|_| bad("--time-budget needs milliseconds"))?,
-                        );
+                        time_budget_ms = Some(parse_value(flag, &mut iter, "milliseconds")?);
                     }
                     "--pin" => pins.push(take_value(flag, &mut iter)?.to_string()),
-                    "--weight" => {
-                        let spec = take_value(flag, &mut iter)?;
-                        let (name, value) = spec
-                            .split_once('=')
-                            .ok_or_else(|| bad("--weight needs QEF=W"))?;
-                        let value: f64 = value.parse().map_err(|_| bad("--weight needs QEF=W"))?;
-                        weights.push((name.to_string(), value));
-                    }
+                    "--weight" => weights.push(parse_weight(flag, &mut iter)?),
                     "--explain" => explain = true,
                     "--json" => json = true,
                     other => return Err(bad(format!("unknown flag `{other}` for solve"))),
@@ -415,13 +453,7 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, CliError> {
             if json && explain {
                 return Err(bad("--json and --explain are mutually exclusive"));
             }
-            // `--threads`/`--restarts` imply portfolio mode (even
-            // `--threads 1`, so thread counts can be compared on otherwise
-            // identical runs); give it the full default member mix so the
-            // threads have work to spread.
-            if portfolio.is_none() && (threads_given || restarts > 1) {
-                portfolio = Some("tabu,sls,anneal,pso".to_string());
-            }
+            let (solver, threads, portfolio, restarts) = solver_flags.finish();
             Ok(Command::Solve {
                 file,
                 max,
@@ -454,39 +486,14 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, CliError> {
             let mut json = false;
             while let Some(flag) = iter.next() {
                 match flag {
-                    "--max" => {
-                        max = Some(
-                            take_value(flag, &mut iter)?
-                                .parse()
-                                .map_err(|_| bad("--max needs an integer"))?,
-                        );
-                    }
+                    "--max" => max = Some(parse_value(flag, &mut iter, "an integer")?),
                     "--scale-threshold" => {
-                        scale_threshold = Some(
-                            take_value(flag, &mut iter)?
-                                .parse()
-                                .map_err(|_| bad("--scale-threshold needs an integer"))?,
-                        );
+                        scale_threshold = Some(parse_value(flag, &mut iter, "an integer")?);
                     }
-                    "--theta" => {
-                        theta = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--theta needs a number"))?;
-                    }
-                    "--beta" => {
-                        beta = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--beta needs an integer"))?;
-                    }
+                    "--theta" => theta = parse_value(flag, &mut iter, "a number")?,
+                    "--beta" => beta = parse_value(flag, &mut iter, "an integer")?,
                     "--pin" => pins.push(take_value(flag, &mut iter)?.to_string()),
-                    "--weight" => {
-                        let spec = take_value(flag, &mut iter)?;
-                        let (name, value) = spec
-                            .split_once('=')
-                            .ok_or_else(|| bad("--weight needs QEF=W"))?;
-                        let value: f64 = value.parse().map_err(|_| bad("--weight needs QEF=W"))?;
-                        weights.push((name.to_string(), value));
-                    }
+                    "--weight" => weights.push(parse_weight(flag, &mut iter)?),
                     "--deny-warnings" => deny_warnings = true,
                     "--json" => json = true,
                     other => return Err(bad(format!("unknown flag `{other}` for lint"))),
@@ -515,97 +522,28 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, CliError> {
             let mut seed = 2007u64;
             let mut keywords = Vec::new();
             let mut pins = Vec::new();
-            let mut solver = "tabu".to_string();
-            let mut threads = 1usize;
-            let mut threads_given = false;
-            let mut portfolio: Option<String> = None;
-            let mut restarts = 1usize;
+            let mut solver_flags = SolverFlags::new();
             let mut json = false;
             while let Some(flag) = iter.next() {
+                if solver_flags.take(flag, &mut iter)? {
+                    continue;
+                }
                 match flag {
-                    "--sources" => {
-                        sources = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--sources needs an integer"))?;
-                        if sources == 0 {
-                            return Err(bad("--sources must be at least 1"));
-                        }
-                    }
-                    "--budget" => {
-                        budget_ms = Some(
-                            take_value(flag, &mut iter)?
-                                .parse()
-                                .map_err(|_| bad("--budget needs milliseconds"))?,
-                        );
-                    }
+                    "--sources" => sources = parse_count(flag, &mut iter)?,
+                    "--budget" => budget_ms = Some(parse_value(flag, &mut iter, "milliseconds")?),
                     "--domain" => domain = parse_domain(take_value(flag, &mut iter)?)?,
-                    "--max" => {
-                        max = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--max needs an integer"))?;
-                    }
-                    "--theta" => {
-                        theta = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--theta needs a number"))?;
-                    }
-                    "--beta" => {
-                        beta = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--beta needs an integer"))?;
-                    }
-                    "--top-k" => {
-                        top_k = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--top-k needs an integer"))?;
-                        if top_k == 0 {
-                            return Err(bad("--top-k must be at least 1"));
-                        }
-                    }
-                    "--seed" => {
-                        seed = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--seed needs an integer"))?;
-                    }
+                    "--max" => max = parse_value(flag, &mut iter, "an integer")?,
+                    "--theta" => theta = parse_value(flag, &mut iter, "a number")?,
+                    "--beta" => beta = parse_value(flag, &mut iter, "an integer")?,
+                    "--top-k" => top_k = parse_count(flag, &mut iter)?,
+                    "--seed" => seed = parse_value(flag, &mut iter, "an integer")?,
                     "--keyword" => keywords.push(take_value(flag, &mut iter)?.to_string()),
                     "--pin" => pins.push(take_value(flag, &mut iter)?.to_string()),
-                    "--solver" => {
-                        solver = take_value(flag, &mut iter)?.to_string();
-                        if !["tabu", "sls", "annealing", "pso"].contains(&solver.as_str()) {
-                            return Err(bad(format!("unknown solver `{solver}`")));
-                        }
-                    }
-                    "--threads" => {
-                        threads = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--threads needs an integer"))?;
-                        if threads == 0 {
-                            return Err(bad("--threads must be at least 1"));
-                        }
-                        threads_given = true;
-                    }
-                    "--portfolio" => {
-                        let spec = take_value(flag, &mut iter)?;
-                        mube_opt::parse_portfolio_spec(spec).map_err(bad)?;
-                        portfolio = Some(spec.to_string());
-                    }
-                    "--restarts" => {
-                        restarts = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--restarts needs an integer"))?;
-                        if restarts == 0 {
-                            return Err(bad("--restarts must be at least 1"));
-                        }
-                    }
                     "--json" => json = true,
                     other => return Err(bad(format!("unknown flag `{other}` for scale-solve"))),
                 }
             }
-            // Same convention as `solve`: --threads/--restarts imply the
-            // full default portfolio mix.
-            if portfolio.is_none() && (threads_given || restarts > 1) {
-                portfolio = Some("tabu,sls,anneal,pso".to_string());
-            }
+            let (solver, threads, portfolio, restarts) = solver_flags.finish();
             Ok(Command::ScaleSolve {
                 sources,
                 budget_ms,
@@ -639,44 +577,15 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, CliError> {
             let mut resolve = false;
             while let Some(flag) = iter.next() {
                 match flag {
-                    "--sources" => {
-                        sources = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--sources needs an integer"))?;
-                    }
-                    "--seed" => {
-                        seed = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--seed needs an integer"))?;
-                    }
+                    "--sources" => sources = parse_value(flag, &mut iter, "an integer")?,
+                    "--seed" => seed = parse_value(flag, &mut iter, "an integer")?,
                     "--domain" => domain = parse_domain(take_value(flag, &mut iter)?)?,
-                    "--max" => {
-                        max = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--max needs an integer"))?;
-                    }
-                    "--theta" => {
-                        theta = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--theta needs a number"))?;
-                    }
-                    "--beta" => {
-                        beta = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--beta needs an integer"))?;
-                    }
-                    "--solver" => {
-                        solver = take_value(flag, &mut iter)?.to_string();
-                        if !["tabu", "sls", "annealing", "pso"].contains(&solver.as_str()) {
-                            return Err(bad(format!("unknown solver `{solver}`")));
-                        }
-                    }
+                    "--max" => max = parse_value(flag, &mut iter, "an integer")?,
+                    "--theta" => theta = parse_value(flag, &mut iter, "a number")?,
+                    "--beta" => beta = parse_value(flag, &mut iter, "an integer")?,
+                    "--solver" => solver = parse_solver(flag, &mut iter)?,
                     "--faults" => faults = Some(take_value(flag, &mut iter)?.to_string()),
-                    "--fault-seed" => {
-                        fault_seed = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--fault-seed needs an integer"))?;
-                    }
+                    "--fault-seed" => fault_seed = parse_value(flag, &mut iter, "an integer")?,
                     "--query" => {
                         let spec = take_value(flag, &mut iter)?;
                         let (lo, hi) = spec
@@ -749,14 +658,7 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, CliError> {
             while let Some(flag) = iter.next() {
                 match flag {
                     "--addr" => addr = take_value(flag, &mut iter)?.to_string(),
-                    "--threads" => {
-                        threads = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--threads needs an integer"))?;
-                        if threads == 0 {
-                            return Err(bad("--threads must be at least 1"));
-                        }
-                    }
+                    "--threads" => threads = parse_count(flag, &mut iter)?,
                     "--data-dir" => data_dir = Some(take_value(flag, &mut iter)?.to_string()),
                     "--fsync" => {
                         fsync = mube_serve::FsyncPolicy::parse(take_value(flag, &mut iter)?)
@@ -766,26 +668,18 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, CliError> {
                     "--repl-addr" => repl_addr = Some(take_value(flag, &mut iter)?.to_string()),
                     "--repl-sync" => repl_sync = true,
                     "--promote-timeout" => {
-                        let ms: u64 = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--promote-timeout needs milliseconds"))?;
+                        let ms: u64 = parse_value(flag, &mut iter, "milliseconds")?;
                         if ms == 0 {
                             return Err(bad("--promote-timeout must be at least 1 ms"));
                         }
                         promote_timeout = Some(std::time::Duration::from_millis(ms));
                     }
                     "--scrub-interval" => {
-                        let ms: u64 = take_value(flag, &mut iter)?
-                            .parse()
-                            .map_err(|_| bad("--scrub-interval needs milliseconds"))?;
+                        let ms = parse_value(flag, &mut iter, "milliseconds")?;
                         scrub_interval = Some(std::time::Duration::from_millis(ms));
                     }
                     "--quarantine-keep" => {
-                        quarantine_keep = Some(
-                            take_value(flag, &mut iter)?
-                                .parse()
-                                .map_err(|_| bad("--quarantine-keep needs an integer"))?,
-                        );
+                        quarantine_keep = Some(parse_value(flag, &mut iter, "an integer")?);
                     }
                     other => return Err(bad(format!("unknown flag `{other}` for serve"))),
                 }

@@ -35,9 +35,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::persist::{
-    crc32, digest_events, encode_event_frame, encode_snapshot_header, prune_quarantines,
+    decode_frame_at, digest_events, encode_event_frame, encode_snapshot_header, prune_quarantines,
     quarantine_files, quarantine_path, scan_bytes, Event, Record, DEFAULT_QUARANTINE_KEEP,
-    MAX_RECORD_BYTES, TAG_SNAPSHOT,
 };
 use crate::repl::DIVERGED_MARKER;
 use mube_core::jsonw::JsonBuf;
@@ -187,36 +186,6 @@ fn scan_file(dir: &Path, name: &str) -> std::io::Result<FileScan> {
     })
 }
 
-/// Tries to parse one valid frame at `pos`; `None` on anything torn,
-/// implausible, CRC-bad, or undecodable.
-fn parse_frame_at(data: &[u8], pos: usize) -> Option<(Record, usize)> {
-    if pos + 8 > data.len() {
-        return None;
-    }
-    let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes"));
-    if !(9..=MAX_RECORD_BYTES).contains(&len) {
-        return None;
-    }
-    let end = pos + 8 + len as usize;
-    if end > data.len() {
-        return None;
-    }
-    let payload = &data[pos + 8..end];
-    if crc32(payload) != crc {
-        return None;
-    }
-    if payload[8] == TAG_SNAPSHOT {
-        if payload.len() != 17 {
-            return None;
-        }
-        let through_lsn = u64::from_le_bytes(payload[9..17].try_into().expect("8 bytes"));
-        return Some((Record::Snapshot { through_lsn }, end));
-    }
-    let (lsn, event) = Event::decode_frame_payload(payload).ok()?;
-    Some((Record::Event { lsn, event }, end))
-}
-
 /// Re-synchronizes past a corrupt record: slides forward byte by byte
 /// until a valid frame parses, then resumes frame-at-a-time (sliding
 /// again on any further damage). The CRC gate makes a false resync
@@ -226,7 +195,10 @@ fn salvage(data: &[u8], from: usize) -> Vec<Record> {
     let mut out = Vec::new();
     let mut pos = from;
     while pos < data.len() {
-        match parse_frame_at(data, pos) {
+        let parsed = decode_frame_at(data, pos)
+            .ok()
+            .and_then(|frame| Some((Record::decode(&frame).ok()?, frame.end)));
+        match parsed {
             Some((rec, next)) => {
                 out.push(rec);
                 pos = next;

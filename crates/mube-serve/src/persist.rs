@@ -20,7 +20,10 @@
 //!   ```
 //!
 //!   `crc` is IEEE CRC-32 over the payload. `lsn` is a monotonically
-//!   increasing log sequence number shared by both files.
+//!   increasing log sequence number shared by both files. [`encode_frame`]
+//!   writes a frame and [`decode_frame_at`] is the one reader of it —
+//!   boot replay, the scrubber, `mube fsck` salvage, the replication
+//!   stream and the crash-point explorer all go through it.
 //!
 //! * `snapshot.wal` — a compacted prefix of the log. Its first record is a
 //!   snapshot header (`tag 0`) carrying `through_lsn`; the rest are the
@@ -51,10 +54,10 @@ use mube_core::{AttrId, GlobalAttribute, MediatedSchema, Solution, SourceId};
 
 /// Records larger than this are treated as corruption (a torn length
 /// prefix would otherwise ask for gigabytes).
-pub(crate) const MAX_RECORD_BYTES: u32 = 64 * 1024 * 1024;
+const MAX_RECORD_BYTES: u32 = 64 * 1024 * 1024;
 
 /// Snapshot-header record tag (never appears in [`Event`]).
-pub(crate) const TAG_SNAPSHOT: u8 = 0;
+const TAG_SNAPSHOT: u8 = 0;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320)
@@ -352,16 +355,10 @@ impl Event {
         }
     }
 
-    pub fn decode_frame_payload(payload: &[u8]) -> Result<(u64, Event), String> {
-        if payload.len() < 9 {
-            return Err(format!("payload too short: {} bytes", payload.len()));
-        }
-        let lsn = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-        let event = Event::decode_body(payload[8], &mut Dec::new(&payload[9..]))?;
-        Ok((lsn, event))
-    }
-
-    fn decode_body(tag: u8, d: &mut Dec<'_>) -> DecodeResult<Event> {
+    /// Decodes an event from a frame's `tag` and `body` (see
+    /// [`decode_frame_at`]).
+    pub fn decode(tag: u8, body: &[u8]) -> Result<Event, String> {
+        let d = &mut Dec::new(body);
         let event = match tag {
             1 => Event::CatalogCreate {
                 id: d.u64()?,
@@ -433,7 +430,7 @@ impl Event {
 }
 
 /// Encodes one frame: `[len][crc][lsn][tag][body]`.
-pub(crate) fn encode_frame(lsn: u64, tag: u8, body: &[u8]) -> Vec<u8> {
+pub fn encode_frame(lsn: u64, tag: u8, body: &[u8]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(9 + body.len());
     payload.extend_from_slice(&lsn.to_le_bytes());
     payload.push(tag);
@@ -460,6 +457,79 @@ pub(crate) fn encode_snapshot_header(through_lsn: u64) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------------
+// Frame decoding
+// ---------------------------------------------------------------------------
+
+/// Bytes before a frame's payload: `[len: u32 LE][crc: u32 LE]`.
+pub(crate) const FRAME_HEADER_BYTES: usize = 8;
+
+/// One CRC-checked frame, its body not yet decoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RawFrame<'a> {
+    /// The frame's log sequence number.
+    pub lsn: u64,
+    /// Record tag: 0 snapshot header, 1–5 events, 250/251 replication
+    /// control frames.
+    pub tag: u8,
+    /// The body after the `[lsn][tag]` prefix.
+    pub body: &'a [u8],
+    /// Offset one past the frame's last byte: where the next frame starts.
+    pub end: usize,
+}
+
+/// Why no frame could be decoded at an offset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameError {
+    /// Fewer than the 8 header bytes remain.
+    TornHeader,
+    /// The length prefix is below the 9-byte `[lsn][tag]` minimum or above
+    /// the 64 MiB record cap.
+    ImplausibleLength(u32),
+    /// The header is whole but the payload is not.
+    TornBody,
+    /// The payload does not match its CRC.
+    CrcMismatch,
+}
+
+impl std::fmt::Display for FrameError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FrameError::TornHeader => f.write_str("torn frame header"),
+            FrameError::ImplausibleLength(len) => write!(f, "implausible record length {len}"),
+            FrameError::TornBody => f.write_str("torn record body"),
+            FrameError::CrcMismatch => f.write_str("CRC mismatch"),
+        }
+    }
+}
+
+/// Decodes the frame starting at `data[pos..]` — the only reader of the
+/// `[len][crc]` header, shared by boot replay, `mube fsck` salvage, the
+/// replication stream and the crash-point explorer. The checks run in a
+/// fixed order (header, length bound, body completeness, CRC), and the CRC
+/// is computed only once the whole payload is present, so a streaming
+/// reader pays nothing for a partial frame.
+pub fn decode_frame_at(data: &[u8], pos: usize) -> Result<RawFrame<'_>, FrameError> {
+    let payload_at = pos + FRAME_HEADER_BYTES;
+    let header = data.get(pos..payload_at).ok_or(FrameError::TornHeader)?;
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
+    let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+    if !(9..=MAX_RECORD_BYTES).contains(&len) {
+        return Err(FrameError::ImplausibleLength(len));
+    }
+    let end = payload_at + len as usize;
+    let payload = data.get(payload_at..end).ok_or(FrameError::TornBody)?;
+    if crc32(payload) != crc {
+        return Err(FrameError::CrcMismatch);
+    }
+    Ok(RawFrame {
+        lsn: u64::from_le_bytes(payload[..8].try_into().expect("8 bytes")),
+        tag: payload[8],
+        body: &payload[9..],
+        end,
+    })
+}
+
+// ---------------------------------------------------------------------------
 // File scanning
 // ---------------------------------------------------------------------------
 
@@ -467,6 +537,26 @@ pub(crate) fn encode_snapshot_header(through_lsn: u64) -> Vec<u8> {
 pub(crate) enum Record {
     Snapshot { through_lsn: u64 },
     Event { lsn: u64, event: Event },
+}
+
+impl Record {
+    /// Decodes a frame's body: a snapshot header or an [`Event`].
+    pub(crate) fn decode(frame: &RawFrame<'_>) -> Result<Record, String> {
+        if frame.tag == TAG_SNAPSHOT {
+            let mut d = Dec::new(frame.body);
+            let through_lsn = d
+                .u64()
+                .and_then(|v| d.done().map(|()| v))
+                .map_err(|e| format!("bad snapshot header: {e}"))?;
+            return Ok(Record::Snapshot { through_lsn });
+        }
+        let event =
+            Event::decode(frame.tag, frame.body).map_err(|e| format!("undecodable record: {e}"))?;
+        Ok(Record::Event {
+            lsn: frame.lsn,
+            event,
+        })
+    }
 }
 
 /// Result of scanning a WAL file up to the first corruption.
@@ -504,48 +594,19 @@ pub(crate) fn scan_bytes(data: &[u8]) -> Scan {
     let mut pos = 0usize;
     let mut corruption = None;
     while pos < data.len() {
-        if pos + 8 > data.len() {
-            corruption = Some("torn frame header".into());
-            break;
-        }
-        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if !(9..=MAX_RECORD_BYTES).contains(&len) {
-            corruption = Some(format!("implausible record length {len}"));
-            break;
-        }
-        let body_end = pos + 8 + len as usize;
-        if body_end > data.len() {
-            corruption = Some("torn record body".into());
-            break;
-        }
-        let payload = &data[pos + 8..body_end];
-        if crc32(payload) != crc {
-            corruption = Some("CRC mismatch".into());
-            break;
-        }
-        let lsn = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-        let tag = payload[8];
-        let body = &payload[9..];
-        if tag == TAG_SNAPSHOT {
-            let mut d = Dec::new(body);
-            match d.u64().and_then(|v| d.done().map(|()| v)) {
-                Ok(through_lsn) => records.push(Record::Snapshot { through_lsn }),
-                Err(e) => {
-                    corruption = Some(format!("bad snapshot header: {e}"));
-                    break;
-                }
+        let decoded = decode_frame_at(data, pos)
+            .map_err(|e| e.to_string())
+            .and_then(|frame| Ok((Record::decode(&frame)?, frame.end)));
+        match decoded {
+            Ok((record, end)) => {
+                records.push(record);
+                pos = end;
             }
-        } else {
-            match Event::decode_body(tag, &mut Dec::new(body)) {
-                Ok(event) => records.push(Record::Event { lsn, event }),
-                Err(e) => {
-                    corruption = Some(format!("undecodable record: {e}"));
-                    break;
-                }
+            Err(why) => {
+                corruption = Some(why);
+                break;
             }
         }
-        pos = body_end;
     }
     Scan {
         records,
@@ -1196,9 +1257,57 @@ mod tests {
                 crc32(payload),
                 u32::from_le_bytes(frame[4..8].try_into().unwrap())
             );
-            let decoded = Event::decode_body(payload[8], &mut Dec::new(&payload[9..])).unwrap();
+            let decoded = Event::decode(payload[8], &payload[9..]).unwrap();
             assert_eq!(&decoded, event);
         }
+    }
+
+    #[test]
+    fn decode_frame_at_checks_in_order_with_stable_wording() {
+        let frame = encode_event_frame(1, &ev_catalog(1));
+        let mut flipped = frame.clone();
+        *flipped.last_mut().unwrap() ^= 0x01;
+        let mut short_len = frame.clone();
+        short_len[..4].copy_from_slice(&8u32.to_le_bytes());
+        let cases: [(&[u8], FrameError, &str); 5] = [
+            (&frame[..7], FrameError::TornHeader, "torn frame header"),
+            (
+                &short_len,
+                FrameError::ImplausibleLength(8),
+                "implausible record length 8",
+            ),
+            (
+                &[0xFF; 16],
+                FrameError::ImplausibleLength(u32::MAX),
+                "implausible record length 4294967295",
+            ),
+            // Torn before CRC: a partial body is never checksummed.
+            (
+                &flipped[..frame.len() - 1],
+                FrameError::TornBody,
+                "torn record body",
+            ),
+            (&flipped, FrameError::CrcMismatch, "CRC mismatch"),
+        ];
+        for (data, want, text) in cases {
+            assert_eq!(decode_frame_at(data, 0), Err(want));
+            assert_eq!(want.to_string(), text);
+        }
+
+        let mut two = frame.clone();
+        two.extend_from_slice(&encode_event_frame(2, &ev_catalog(2)));
+        let first = decode_frame_at(&two, 0).unwrap();
+        assert_eq!((first.lsn, first.tag, first.end), (1, 1, frame.len()));
+        let second = decode_frame_at(&two, first.end).unwrap();
+        assert_eq!((second.lsn, second.end), (2, two.len()));
+        assert_eq!(
+            Event::decode(second.tag, second.body).unwrap(),
+            ev_catalog(2)
+        );
+        assert_eq!(
+            decode_frame_at(&two, two.len()),
+            Err(FrameError::TornHeader)
+        );
     }
 
     #[test]
@@ -1420,9 +1529,12 @@ mod tests {
         j.append(ev_session(1, 1)).unwrap();
         let frames = j.frames_after(1).unwrap();
         assert_eq!(frames.len(), 1);
-        let (lsn, event) = Event::decode_frame_payload(&frames[0][8..]).unwrap();
-        assert_eq!(lsn, 2);
-        assert_eq!(event, ev_session(1, 1));
+        let frame = decode_frame_at(&frames[0], 0).unwrap();
+        assert_eq!(frame.lsn, 2);
+        assert_eq!(
+            Event::decode(frame.tag, frame.body).unwrap(),
+            ev_session(1, 1)
+        );
         // Trigger a dropping compaction (delete makes the 3rd tail record).
         j.append(Event::SessionDelete { session: 1 }).unwrap();
         assert!(
@@ -1531,6 +1643,71 @@ mod tests {
         }
         let (j, _, _) = Journal::open_with(&dir, FsyncPolicy::Never, 1000, 3).unwrap();
         assert_eq!(j.stats().quarantine_files, 3);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The events in `fixtures/golden.wal`, one per event tag 1–5, at
+    /// LSNs 1..=5.
+    fn golden_events() -> Vec<Event> {
+        vec![
+            Event::CatalogCreate {
+                id: 0,
+                text: "source books1\n  attr title\n  attr author\n  cardinality 1200\n".into(),
+            },
+            Event::SessionCreate {
+                id: 0,
+                catalog_id: 0,
+                body: "{\"catalog\":0,\"max_sources\":2,\"theta\":0.5,\"beta\":1}".into(),
+            },
+            Event::Feedback {
+                session: 0,
+                body: "{\"actions\":[{\"op\":\"pin\",\"source\":\"books1\"}]}".into(),
+            },
+            Event::Solve {
+                session: 0,
+                solution: SolutionRecord {
+                    sources: vec![0],
+                    quality_bits: 0.625_f64.to_bits(),
+                    evaluations: 17,
+                    timed_out: false,
+                    qef_scores: vec![("matching".into(), 1.0_f64.to_bits(), 0.625_f64.to_bits())],
+                    schema: vec![vec![(0, 0)], vec![(0, 1)]],
+                },
+            },
+            Event::SessionDelete { session: 1 },
+        ]
+    }
+
+    /// Pins the on-disk format against a committed journal tail: replay,
+    /// state digest and re-encoding must all stay byte-identical.
+    #[test]
+    fn golden_wal_replays_and_reencodes_byte_identically() {
+        let golden: &[u8] = include_bytes!("../../../fixtures/golden.wal");
+        let dir = test_dir("golden");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("journal.wal"), golden).unwrap();
+        let (j, replayed, report) = Journal::open(&dir, FsyncPolicy::Never, 1000).unwrap();
+        assert!(report.corruption.is_none(), "{report:?}");
+        assert_eq!(report.tail_events, 5);
+        assert_eq!(replayed, golden_events());
+        assert_eq!(j.state_digest(), (5, 0x120f_5ceb_9002_ebaa));
+        drop(j);
+
+        let reencoded: Vec<u8> = replayed
+            .iter()
+            .zip(1u64..)
+            .flat_map(|(event, lsn)| encode_event_frame(lsn, event))
+            .collect();
+        assert_eq!(reencoded, golden);
+
+        for through in [0, 5, u64::MAX] {
+            let scan = scan_bytes(&encode_snapshot_header(through));
+            assert!(scan.corruption.is_none(), "{:?}", scan.corruption);
+            assert!(
+                matches!(scan.records[..], [Record::Snapshot { through_lsn }] if through_lsn == through),
+                "snapshot header through {through} did not decode back"
+            );
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -45,7 +45,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::persist::{crc32, encode_frame, Event, Journal, MAX_RECORD_BYTES};
+use crate::persist::{
+    decode_frame_at, encode_frame, Event, FrameError, Journal, FRAME_HEADER_BYTES,
+};
 use crate::server::ServerState;
 
 /// Replication hello magic (8 bytes, versioned).
@@ -111,9 +113,11 @@ impl Frame {
     }
 }
 
-/// An incremental WAL-frame decoder over a byte stream. Feed it whatever
-/// the socket yields; it emits complete frames and reports torn/corrupt
-/// input as an error (the caller drops the connection and re-requests).
+/// An incremental WAL-frame decoder over a byte stream, built on the
+/// journal's own [`decode_frame_at`]. Feed it whatever the socket yields;
+/// it emits complete frames, waits on a torn header or body, and reports
+/// an implausible length or CRC mismatch as an error (the caller drops
+/// the connection and re-requests).
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -138,32 +142,18 @@ impl FrameReader {
     /// Next complete frame: `Ok(None)` means more bytes are needed;
     /// `Err` means the stream is corrupt from here on.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, String> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 8 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(avail[..4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(avail[4..8].try_into().expect("4 bytes"));
-        if !(9..=MAX_RECORD_BYTES).contains(&len) {
-            return Err(format!("implausible frame length {len}"));
-        }
-        let total = 8 + len as usize;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let payload = &avail[8..total];
-        if crc32(payload) != crc {
-            return Err("frame CRC mismatch".to_string());
-        }
-        let lsn = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-        let tag = payload[8];
-        let frame = Frame {
-            lsn,
-            tag,
-            payload: payload.to_vec(),
+        let frame = match decode_frame_at(&self.buf, self.pos) {
+            Ok(frame) => frame,
+            Err(FrameError::TornHeader | FrameError::TornBody) => return Ok(None),
+            Err(why) => return Err(why.to_string()),
         };
-        self.pos += total;
-        Ok(Some(frame))
+        let out = Frame {
+            lsn: frame.lsn,
+            tag: frame.tag,
+            payload: self.buf[self.pos + FRAME_HEADER_BYTES..frame.end].to_vec(),
+        };
+        self.pos = frame.end;
+        Ok(Some(out))
     }
 }
 
@@ -673,7 +663,7 @@ fn serve_follow_stream(
                         if lsn <= follower.applied.load(Ordering::SeqCst) {
                             continue; // duplicate from the backlog race
                         }
-                        let (_, event) = Event::decode_frame_payload(&frame.payload)
+                        let event = Event::decode(frame.tag, frame.body())
                             .map_err(|e| format!("frame {lsn}: {e}"))?;
                         apply_event(state, journal, follower, lsn, event)?;
                         applied_any = true;
@@ -1051,8 +1041,8 @@ mod tests {
         }
         assert_eq!(frames.len(), 3);
         assert_eq!(frames[0].lsn, 1);
-        let (lsn, event) = Event::decode_frame_payload(&frames[0].payload).unwrap();
-        assert_eq!((lsn, event), (1, ev(1)));
+        let event = Event::decode(frames[0].tag, frames[0].body()).unwrap();
+        assert_eq!(event, ev(1));
         assert_eq!(frames[1].tag, TAG_HEARTBEAT);
         assert_eq!(
             u64::from_le_bytes(frames[1].body().try_into().unwrap()),
