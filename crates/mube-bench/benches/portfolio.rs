@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use mube_bench::{Setup, Variant, EXPERIMENT_SEED};
-use mube_opt::Portfolio;
+use mube_opt::{Portfolio, DEFAULT_MAX_EVALUATIONS, DEFAULT_PORTFOLIO};
 
 const SOURCES: usize = 40;
 const MAX_SOURCES: usize = 10;
@@ -21,7 +21,7 @@ fn bench_portfolio_threads(c: &mut Criterion) {
     let mut group = c.benchmark_group("portfolio_solve");
     group.sample_size(10);
     for threads in [1usize, 2, 4, 8] {
-        let portfolio = Portfolio::from_spec("tabu,sls,anneal,pso", 2)
+        let portfolio = Portfolio::from_spec(DEFAULT_PORTFOLIO, 2, DEFAULT_MAX_EVALUATIONS)
             .expect("spec is valid")
             .threads(threads);
         group.bench_with_input(

@@ -267,16 +267,16 @@ fn parse_weight<'a, I: Iterator<Item = &'a str>>(
     Ok((name.to_string(), value))
 }
 
-/// Takes a `--solver` name, which must name a known solver.
+/// Takes a `--solver` name, which must name a known solver; returns its
+/// canonical name (`anneal` → `annealing`, as in `--portfolio`).
 fn parse_solver<'a, I: Iterator<Item = &'a str>>(
     flag: &str,
     iter: &mut I,
 ) -> Result<String, CliError> {
     let solver = take_value(flag, iter)?;
-    if !["tabu", "sls", "annealing", "pso"].contains(&solver) {
-        return Err(bad(format!("unknown solver `{solver}`")));
-    }
-    Ok(solver.to_string())
+    let canon = mube_opt::canonical_solver(solver)
+        .ok_or_else(|| bad(format!("unknown solver `{solver}`")))?;
+    Ok(canon.to_string())
 }
 
 /// The solver option group shared by `solve` and `scale-solve`: `--solver`,
@@ -324,15 +324,11 @@ impl SolverFlags {
         Ok(true)
     }
 
-    /// `(solver, threads, portfolio, restarts)`. `--threads`/`--restarts`
-    /// imply portfolio mode (even `--threads 1`, so thread counts can be
-    /// compared on otherwise identical runs); give it the full default
-    /// member mix so the threads have work to spread.
+    /// `(solver, threads, portfolio, restarts)`, with `--threads`/
+    /// `--restarts` implying portfolio mode ([`mube_opt::implied_portfolio`]).
     fn finish(self) -> (String, usize, Option<String>, usize) {
-        let implied = self.threads_given || self.restarts > 1;
-        let portfolio = self
-            .portfolio
-            .or_else(|| implied.then(|| "tabu,sls,anneal,pso".to_string()));
+        let portfolio =
+            mube_opt::implied_portfolio(self.portfolio, self.threads_given, self.restarts);
         (self.solver, self.threads, portfolio, self.restarts)
     }
 }

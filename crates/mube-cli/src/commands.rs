@@ -11,14 +11,12 @@ use mube_core::constraints::Constraints;
 use mube_core::diag::{DiagCode, Diagnostic};
 use mube_core::matchop::{MatchOperator, MatchOutcome};
 use mube_core::problem::Problem;
-use mube_core::qefs::{data_only_qefs, paper_default_qefs};
+use mube_core::qefs::{default_qefs_for, paper_default_qefs};
 use mube_core::source::Universe;
 use mube_core::{explain, MubeError, SourceId};
 use mube_match::similarity::JaccardNGram;
 use mube_match::ClusterMatcher;
-use mube_opt::{
-    ParticleSwarm, Portfolio, SimulatedAnnealing, StochasticLocalSearch, SubsetSolver, TabuSearch,
-};
+use mube_opt::{Portfolio, SubsetSolver, DEFAULT_MAX_EVALUATIONS};
 use mube_synth::{generate, SynthConfig};
 
 use crate::args::Command;
@@ -181,16 +179,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
                     })?;
                 constraints.required_sources.insert(id);
             }
-            // Use the characteristic-aware mix when sources carry an MTTF,
-            // else the data-only mix.
-            let has_mttf = universe
-                .sources()
-                .any(|s| s.characteristic("mttf").is_some());
-            let mut qefs = if has_mttf {
-                paper_default_qefs("mttf")
-            } else {
-                data_only_qefs()
-            };
+            let mut qefs = default_qefs_for(&universe);
             for (name, weight) in &weights {
                 qefs = qefs.reweighted(name, *weight)?;
             }
@@ -199,17 +188,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
                 JaccardNGram::trigram(),
             ));
             let problem = Problem::new(Arc::clone(&universe), matcher, qefs, constraints)?;
-            let solver: Box<dyn SubsetSolver> = match portfolio {
-                Some(spec) => {
-                    // The spec was validated at parse time, but re-check so
-                    // programmatic callers get a clean error, not a panic.
-                    let pf = Portfolio::from_spec(&spec, restarts)
-                        .map_err(CliError::Usage)?
-                        .threads(threads);
-                    Box::new(pf)
-                }
-                None => make_solver(&solver),
-            };
+            let solver = build_solver(&solver, threads, portfolio.as_deref(), restarts)?;
             let solution = match time_budget_ms {
                 Some(ms) => {
                     let cancel = mube_opt::CancelToken::after(std::time::Duration::from_millis(ms));
@@ -315,14 +294,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
             // portfolio's --threads safely accelerates the sketches too.
             opts.lsh_threads = threads;
 
-            let solver: Box<dyn SubsetSolver> = match portfolio {
-                Some(spec) => Box::new(
-                    Portfolio::from_spec(&spec, restarts)
-                        .map_err(CliError::Usage)?
-                        .threads(threads),
-                ),
-                None => make_solver(&solver),
-            };
+            let solver = build_solver(&solver, threads, portfolio.as_deref(), restarts)?;
             let cancel = match budget_ms {
                 Some(ms) => mube_opt::CancelToken::after(std::time::Duration::from_millis(ms)),
                 None => mube_opt::CancelToken::none(),
@@ -412,14 +384,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
                     )),
                 }
             }
-            let has_mttf = universe
-                .sources()
-                .any(|s| s.characteristic("mttf").is_some());
-            let qefs = if has_mttf {
-                paper_default_qefs("mttf")
-            } else {
-                data_only_qefs()
-            };
+            let qefs = default_qefs_for(&universe);
             for (name, _) in &weights {
                 if !qefs.iter().any(|(q, _)| q.name() == name) {
                     unresolved.push(Diagnostic::new(
@@ -629,7 +594,7 @@ fn exec_command(command: Command) -> Result<String, CliError> {
             JaccardNGram::trigram(),
         ));
         let problem = Problem::new(Arc::clone(universe), matcher, qefs, constraints)?;
-        Ok(problem.solve(make_solver(&solver).as_ref(), seed)?)
+        Ok(problem.solve(build_solver(&solver, 1, None, 1)?.as_ref(), seed)?)
     };
     let solution = solve(&universe, "mttf")?;
 
@@ -809,12 +774,24 @@ fn resolve_sources(universe: &Universe, names: &[String]) -> Result<BTreeSet<Sou
         .collect()
 }
 
-fn make_solver(name: &str) -> Box<dyn SubsetSolver> {
-    match name {
-        "sls" => Box::new(StochasticLocalSearch::default()),
-        "annealing" => Box::new(SimulatedAnnealing::default()),
-        "pso" => Box::new(ParticleSwarm::default()),
-        _ => Box::new(TabuSearch::default()),
+/// The solver a command runs at the default evaluation budget: the
+/// portfolio `spec` (members repeated `restarts` times over `threads`)
+/// when given, else the single solver `name`. Both were validated at parse
+/// time; re-checking gives programmatic callers a clean error.
+fn build_solver(
+    name: &str,
+    threads: usize,
+    portfolio: Option<&str>,
+    restarts: usize,
+) -> Result<Box<dyn SubsetSolver>, CliError> {
+    match portfolio {
+        Some(spec) => Ok(Box::new(
+            Portfolio::from_spec(spec, restarts, DEFAULT_MAX_EVALUATIONS)
+                .map_err(CliError::Usage)?
+                .threads(threads),
+        )),
+        None => mube_opt::solver(name, DEFAULT_MAX_EVALUATIONS)
+            .ok_or_else(|| CliError::Usage(format!("unknown solver `{name}`"))),
     }
 }
 

@@ -21,6 +21,7 @@ pub use redundancy::RedundancyQef;
 use std::sync::Arc;
 
 use crate::qef::{Qef, WeightedQefs};
+use crate::source::Universe;
 
 /// The paper's default QEF mix (§7.1): matching 0.25, cardinality 0.25,
 /// coverage 0.2, redundancy 0.15, and a `wsum`-aggregated characteristic
@@ -56,6 +57,19 @@ pub fn data_only_qefs() -> WeightedQefs {
     .expect("default weights are valid")
 }
 
+/// The default mix for `universe`: [`paper_default_qefs`] over `mttf` when
+/// any source reports an MTTF, else [`data_only_qefs`].
+pub fn default_qefs_for(universe: &Universe) -> WeightedQefs {
+    if universe
+        .sources()
+        .any(|s| s.characteristic("mttf").is_some())
+    {
+        paper_default_qefs("mttf")
+    } else {
+        data_only_qefs()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,5 +82,28 @@ mod tests {
         assert_eq!(q.weight_of("mttf"), Some(0.15));
         let d = data_only_qefs();
         assert_eq!(d.len(), 4);
+    }
+
+    #[test]
+    fn default_mix_follows_mttf_presence() {
+        use crate::schema::Schema;
+        use crate::source::SourceSpec;
+        let universe = |mttf: bool| {
+            let mut b = Universe::builder();
+            b.add_source(SourceSpec::new("a", Schema::new(["x"])));
+            let spec = SourceSpec::new("b", Schema::new(["y"]));
+            b.add_source(if mttf {
+                spec.characteristic("mttf", 80.0)
+            } else {
+                spec.characteristic("latency", 3.0)
+            });
+            b.build().expect("valid universe")
+        };
+        assert_eq!(
+            default_qefs_for(&universe(true)).weight_of("mttf"),
+            Some(0.15)
+        );
+        let plain = default_qefs_for(&universe(false));
+        assert_eq!((plain.len(), plain.weight_of("matching")), (4, Some(0.30)));
     }
 }

@@ -33,7 +33,7 @@ impl Default for SimulatedAnnealing {
             initial_temperature: 0.05,
             cooling: 0.999,
             min_temperature: 1e-5,
-            max_evaluations: 20_000,
+            max_evaluations: crate::DEFAULT_MAX_EVALUATIONS,
         }
     }
 }

@@ -46,8 +46,8 @@ pub use anneal::SimulatedAnnealing;
 pub use cancel::{CancelClock, CancelToken, ManualClock, MonotonicClock};
 pub use hierarchy::{solve_two_level, RestrictedObjective, TwoLevelResult};
 pub use portfolio::{
-    budgeted_member, default_member, member_panics_total, parse_portfolio_spec, MemberRun,
-    Portfolio, PortfolioRun,
+    canonical_solver, implied_portfolio, member_panics_total, parse_portfolio_spec, solver,
+    MemberRun, Portfolio, PortfolioRun, DEFAULT_MAX_EVALUATIONS, DEFAULT_PORTFOLIO,
 };
 pub use problem::{SolveResult, SubsetObjective, SubsetSolver};
 pub use pso::ParticleSwarm;

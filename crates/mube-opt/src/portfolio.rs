@@ -110,26 +110,57 @@ pub struct Portfolio {
     label: String,
 }
 
-/// Canonicalizes a `tabu,sls,anneal` spec into member solver names.
-/// Accepted tokens: `tabu`, `sls`, `anneal`/`annealing`, `pso`.
+/// Every solver's default evaluation budget per run.
+pub const DEFAULT_MAX_EVALUATIONS: u64 = 20_000;
+
+/// The canonical solver name for a user token: `tabu`, `sls`,
+/// `anneal`/`annealing` (→ `annealing`) or `pso`; `None` for anything
+/// else. The one canonicalizer behind [`parse_portfolio_spec`] and
+/// [`solver`].
+pub fn canonical_solver(token: &str) -> Option<&'static str> {
+    match token {
+        "tabu" => Some("tabu"),
+        "sls" => Some("sls"),
+        "anneal" | "annealing" => Some("annealing"),
+        "pso" => Some("pso"),
+        _ => None,
+    }
+}
+
+/// The solver table: the default-configured solver a token names (any
+/// token [`canonical_solver`] accepts), with its evaluation budget capped
+/// at `max_evaluations` ([`DEFAULT_MAX_EVALUATIONS`] leaves it at the
+/// default).
+pub fn solver(name: &str, max_evaluations: u64) -> Option<Box<dyn SubsetSolver>> {
+    Some(match canonical_solver(name)? {
+        "tabu" => Box::new(TabuSearch {
+            max_evaluations,
+            ..TabuSearch::default()
+        }),
+        "sls" => Box::new(StochasticLocalSearch {
+            max_evaluations,
+            ..Default::default()
+        }),
+        "annealing" => Box::new(SimulatedAnnealing {
+            max_evaluations,
+            ..Default::default()
+        }),
+        "pso" => Box::new(ParticleSwarm {
+            max_evaluations,
+            ..Default::default()
+        }),
+        other => unreachable!("`{other}` is not a canonical solver name"),
+    })
+}
+
+/// Canonicalizes a `tabu,sls,anneal` spec into member solver names
+/// (tokens as [`canonical_solver`] accepts them).
 pub fn parse_portfolio_spec(spec: &str) -> Result<Vec<String>, String> {
     let mut names = Vec::new();
-    for raw in spec.split(',') {
-        let tok = raw.trim();
-        if tok.is_empty() {
-            continue;
-        }
-        let canon = match tok {
-            "tabu" => "tabu",
-            "sls" => "sls",
-            "anneal" | "annealing" => "annealing",
-            "pso" => "pso",
-            other => {
-                return Err(format!(
-                    "unknown portfolio member `{other}` (expected tabu, sls, anneal, or pso)"
-                ))
-            }
-        };
+    for tok in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
+        let canon = canonical_solver(tok).ok_or_else(|| {
+            format!("unknown portfolio member `{tok}` (expected tabu, sls, anneal, or pso)")
+        })?;
         names.push(canon.to_string());
     }
     if names.is_empty() {
@@ -138,41 +169,19 @@ pub fn parse_portfolio_spec(spec: &str) -> Result<Vec<String>, String> {
     Ok(names)
 }
 
-/// A default-configured solver by canonical name (as produced by
-/// [`parse_portfolio_spec`]).
-pub fn default_member(name: &str) -> Option<Box<dyn SubsetSolver>> {
-    match name {
-        "tabu" => Some(Box::new(TabuSearch::default())),
-        "sls" => Some(Box::new(StochasticLocalSearch::default())),
-        "annealing" => Some(Box::new(SimulatedAnnealing::default())),
-        "pso" => Some(Box::new(ParticleSwarm::default())),
-        _ => None,
-    }
-}
+/// The full default member mix: one of each solver.
+pub const DEFAULT_PORTFOLIO: &str = "tabu,sls,anneal,pso";
 
-/// Like [`default_member`], with the member's evaluation budget capped at
-/// `max_evaluations` — for callers (like the session server) that bound
-/// per-solve latency.
-pub fn budgeted_member(name: &str, max_evaluations: u64) -> Option<Box<dyn SubsetSolver>> {
-    match name {
-        "tabu" => Some(Box::new(TabuSearch {
-            max_evaluations,
-            ..TabuSearch::default()
-        })),
-        "sls" => Some(Box::new(StochasticLocalSearch {
-            max_evaluations,
-            ..Default::default()
-        })),
-        "annealing" => Some(Box::new(SimulatedAnnealing {
-            max_evaluations,
-            ..Default::default()
-        })),
-        "pso" => Some(Box::new(ParticleSwarm {
-            max_evaluations,
-            ..Default::default()
-        })),
-        _ => None,
-    }
+/// The portfolio spec a run uses: `spec` when one is given; else, when
+/// `threads` was given or `restarts` > 1, [`DEFAULT_PORTFOLIO`] (even at
+/// one thread, so thread counts compare on otherwise identical runs);
+/// else `None`, a single solver.
+pub fn implied_portfolio(
+    spec: Option<String>,
+    threads_given: bool,
+    restarts: usize,
+) -> Option<String> {
+    spec.or_else(|| (threads_given || restarts > 1).then(|| DEFAULT_PORTFOLIO.to_string()))
 }
 
 impl Portfolio {
@@ -193,14 +202,15 @@ impl Portfolio {
     }
 
     /// Builds a portfolio from a comma-separated spec, with each listed
-    /// member repeated `restarts` times (different seed streams per copy).
+    /// member repeated `restarts` times (different seed streams per copy)
+    /// and every member's evaluation budget capped at `max_evaluations`.
     /// `restarts` is clamped to at least 1.
-    pub fn from_spec(spec: &str, restarts: usize) -> Result<Self, String> {
+    pub fn from_spec(spec: &str, restarts: usize, max_evaluations: u64) -> Result<Self, String> {
         let names = parse_portfolio_spec(spec)?;
         let mut members: Vec<Box<dyn SubsetSolver>> = Vec::new();
         for _ in 0..restarts.max(1) {
             for name in &names {
-                members.push(default_member(name).expect("spec names are canonical"));
+                members.push(solver(name, max_evaluations).expect("spec names are canonical"));
             }
         }
         Ok(Portfolio::new(members))
@@ -543,8 +553,53 @@ mod tests {
     }
 
     #[test]
+    fn solver_table_accepts_exactly_the_spec_tokens() {
+        for (token, canon) in [
+            ("tabu", "tabu"),
+            ("sls", "sls"),
+            ("anneal", "annealing"),
+            ("annealing", "annealing"),
+            ("pso", "pso"),
+        ] {
+            assert_eq!(canonical_solver(token), Some(canon));
+            assert_eq!(
+                solver(token, 10).map(|s| s.name().to_string()).as_deref(),
+                Some(canon)
+            );
+            assert_eq!(parse_portfolio_spec(token).unwrap(), vec![canon]);
+        }
+        for bad in ["genetic", "Tabu", " tabu", ""] {
+            assert_eq!(canonical_solver(bad), None, "{bad:?}");
+            assert!(solver(bad, 10).is_none(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn solver_budget_caps_every_solver() {
+        let obj = toy();
+        for name in ["tabu", "sls", "annealing", "pso"] {
+            let capped = solver(name, 25).unwrap().solve(&obj, 3);
+            assert!(capped.evaluations <= 25, "{name}: {}", capped.evaluations);
+            let default = solver(name, DEFAULT_MAX_EVALUATIONS)
+                .unwrap()
+                .solve(&obj, 3);
+            assert!(default.evaluations > capped.evaluations, "{name}");
+        }
+    }
+
+    #[test]
+    fn implied_portfolio_rule() {
+        let full = Some("tabu,sls,anneal,pso".to_string());
+        assert_eq!(implied_portfolio(None, false, 1), None);
+        assert_eq!(implied_portfolio(None, true, 1), full);
+        assert_eq!(implied_portfolio(None, false, 2), full);
+        let explicit = Some("pso".to_string());
+        assert_eq!(implied_portfolio(explicit.clone(), true, 3), explicit);
+    }
+
+    #[test]
     fn from_spec_repeats_members() {
-        let p = Portfolio::from_spec("tabu,sls", 3).unwrap();
+        let p = Portfolio::from_spec("tabu,sls", 3, DEFAULT_MAX_EVALUATIONS).unwrap();
         assert_eq!(p.member_count(), 6);
         assert_eq!(p.name(), "portfolio(tabu,sls,tabu,sls,tabu,sls)");
     }
@@ -555,7 +610,7 @@ mod tests {
         let runs: Vec<PortfolioRun> = [1usize, 2, 4, 8]
             .iter()
             .map(|&t| {
-                Portfolio::from_spec("tabu,sls,anneal,pso", 2)
+                Portfolio::from_spec("tabu,sls,anneal,pso", 2, DEFAULT_MAX_EVALUATIONS)
                     .unwrap()
                     .threads(t)
                     .run(&obj, 7)
@@ -573,7 +628,9 @@ mod tests {
     #[test]
     fn winner_is_best_member_lowest_worker_on_ties() {
         let obj = toy();
-        let p = Portfolio::from_spec("tabu", 4).unwrap().threads(2);
+        let p = Portfolio::from_spec("tabu", 4, DEFAULT_MAX_EVALUATIONS)
+            .unwrap()
+            .threads(2);
         let run = p.run(&obj, 11);
         let best = run
             .members
@@ -592,7 +649,7 @@ mod tests {
     #[test]
     fn champion_trace_is_monotone() {
         let obj = toy();
-        let run = Portfolio::from_spec("tabu,sls,anneal,pso", 4)
+        let run = Portfolio::from_spec("tabu,sls,anneal,pso", 4, DEFAULT_MAX_EVALUATIONS)
             .unwrap()
             .threads(8)
             .run(&obj, 3);
@@ -611,7 +668,7 @@ mod tests {
     #[test]
     fn evaluations_aggregate_across_members() {
         let obj = toy();
-        let run = Portfolio::from_spec("tabu,sls", 1)
+        let run = Portfolio::from_spec("tabu,sls", 1, DEFAULT_MAX_EVALUATIONS)
             .unwrap()
             .threads(2)
             .run(&obj, 5);
@@ -623,18 +680,18 @@ mod tests {
     #[test]
     fn warm_start_passthrough_is_deterministic() {
         let obj = toy();
-        let p = Portfolio::from_spec("tabu,sls,anneal", 1)
+        let p = Portfolio::from_spec("tabu,sls,anneal", 1, DEFAULT_MAX_EVALUATIONS)
             .unwrap()
             .threads(3);
         let warm = vec![3, 5, 9];
         let a = p.run_from(&obj, 13, &warm);
-        let b = Portfolio::from_spec("tabu,sls,anneal", 1)
+        let b = Portfolio::from_spec("tabu,sls,anneal", 1, DEFAULT_MAX_EVALUATIONS)
             .unwrap()
             .threads(1)
             .run_from(&obj, 13, &warm);
         assert_eq!(a.result, b.result);
         let c = p.run_within(&obj, 13, &warm, 2);
-        let d = Portfolio::from_spec("tabu,sls,anneal", 1)
+        let d = Portfolio::from_spec("tabu,sls,anneal", 1, DEFAULT_MAX_EVALUATIONS)
             .unwrap()
             .threads(1)
             .run_within(&obj, 13, &warm, 2);
@@ -682,7 +739,7 @@ mod tests {
             inner: toy(),
             views: AtomicUsize::new(0),
         };
-        Portfolio::from_spec("tabu,sls,anneal,pso", 1)
+        Portfolio::from_spec("tabu,sls,anneal,pso", 1, DEFAULT_MAX_EVALUATIONS)
             .unwrap()
             .threads(3)
             .run(&obj, 1);
@@ -755,7 +812,7 @@ mod tests {
         // Deadline already passed: every member gets exactly its guaranteed
         // first evaluation and must still produce a feasible incumbent.
         let token = CancelToken::with_deadline(clock, Duration::ZERO);
-        let p = Portfolio::from_spec("tabu,sls,anneal,pso", 1)
+        let p = Portfolio::from_spec("tabu,sls,anneal,pso", 1, DEFAULT_MAX_EVALUATIONS)
             .unwrap()
             .threads(2);
         let run = p.run_cancel(&obj, 17, &token);
@@ -778,7 +835,9 @@ mod tests {
     #[test]
     fn uncancelled_token_matches_token_free_run() {
         let obj = toy();
-        let p = Portfolio::from_spec("tabu,sls", 2).unwrap().threads(2);
+        let p = Portfolio::from_spec("tabu,sls", 2, DEFAULT_MAX_EVALUATIONS)
+            .unwrap()
+            .threads(2);
         let with_token = p.run_cancel(&obj, 31, &CancelToken::new());
         let without = p.run(&obj, 31);
         assert_eq!(with_token.result, without.result);

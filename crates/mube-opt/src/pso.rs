@@ -42,7 +42,7 @@ impl Default for ParticleSwarm {
             social: 1.5,
             v_max: 4.0,
             max_generations: 200,
-            max_evaluations: 20_000,
+            max_evaluations: crate::DEFAULT_MAX_EVALUATIONS,
         }
     }
 }

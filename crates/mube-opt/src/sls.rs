@@ -34,7 +34,7 @@ impl Default for StochasticLocalSearch {
             restarts: 8,
             steps_per_restart: 2_500,
             noise: 0.1,
-            max_evaluations: 20_000,
+            max_evaluations: crate::DEFAULT_MAX_EVALUATIONS,
         }
     }
 }

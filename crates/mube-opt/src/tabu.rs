@@ -77,7 +77,7 @@ impl Default for TabuSearch {
             candidates_per_iter: 32,
             stall_limit: 40,
             max_iterations: 400,
-            max_evaluations: 20_000,
+            max_evaluations: crate::DEFAULT_MAX_EVALUATIONS,
             init: InitStrategy::Random,
             trust_region: None,
         }

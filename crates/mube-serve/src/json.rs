@@ -49,14 +49,11 @@ impl Json {
     /// Parses a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(p.err("trailing characters after JSON value"));
         }
         Ok(v)
@@ -128,8 +125,11 @@ impl Json {
     }
 }
 
+/// A cursor over the input. `pos` is a byte offset that only ever moves
+/// past ASCII bytes or whole UTF-8 scalars, so it always sits on a char
+/// boundary.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -142,7 +142,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -178,7 +178,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -209,7 +209,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii span");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .ok()
             .filter(|n| n.is_finite())
@@ -268,11 +268,9 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are trustworthy).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = rest.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar: O(1), never a re-scan of
+                    // the rest of the input.
+                    let ch = self.text[self.pos..].chars().next().expect("non-empty");
                     if (ch as u32) < 0x20 {
                         return Err(self.err("unescaped control character"));
                     }
@@ -375,6 +373,25 @@ mod tests {
     fn string_escapes_roundtrip() {
         let v = Json::parse(r#""a\"b\\c\nd\u00e9\ud83d\ude00""#).unwrap();
         assert_eq!(v.as_str().unwrap(), "a\"b\\c\ndé😀");
+    }
+
+    #[test]
+    fn raw_multibyte_characters_in_keys_and_values() {
+        // Unescaped 2-, 3- and 4-byte UTF-8 scalars pass through verbatim.
+        let v = Json::parse("{\"é€😀\":\"ñ中🦀x\",\"中\":[\"€\"]}").unwrap();
+        assert_eq!(v.get("é€😀").and_then(Json::as_str), Some("ñ中🦀x"));
+        let arr = v.get("中").and_then(Json::as_array).unwrap();
+        assert_eq!(arr[0].as_str(), Some("€"));
+        // A control character after multi-byte text is reported at its own
+        // byte offset: 6 bytes of `{"k":"`, then 2 + 3 + 4 bytes of text.
+        let err = Json::parse("{\"k\":\"é€😀\u{1}\"}").unwrap_err();
+        assert_eq!(err.offset, 15);
+        assert_eq!(err.message, "unescaped control character");
+        let err = Json::parse("{\"é\u{1f}\":1}").unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (4, "unescaped control character")
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ use mube_core::explain;
 use mube_core::jsonw::JsonBuf;
 use mube_core::matchop::MatchOperator;
 use mube_core::problem::Problem;
-use mube_core::qefs::{data_only_qefs, paper_default_qefs};
+use mube_core::qefs::default_qefs_for;
 use mube_core::session::Session;
 use mube_core::source::Universe;
 use mube_core::MubeError;
@@ -34,10 +34,7 @@ use mube_exec::{
     SpanBackend, VirtualClock,
 };
 use mube_match::{ClusterMatcher, JaccardNGram, SimilarityCache};
-use mube_opt::{
-    CancelToken, ParticleSwarm, Portfolio, SimulatedAnnealing, StochasticLocalSearch, SubsetSolver,
-    TabuSearch,
-};
+use mube_opt::{CancelToken, Portfolio, SubsetSolver};
 
 use crate::http::{self, HttpError, Request};
 use crate::json::Json;
@@ -66,9 +63,9 @@ pub struct ServeConfig {
     pub max_sessions: usize,
     /// Sessions untouched this long are eligible for eviction.
     pub idle_ttl: Duration,
-    /// Per-solve budget, mapped onto the solver's objective-evaluation
-    /// cutoff (tabu search honors it exactly; the other solvers keep
-    /// their own default caps, which are of the same order).
+    /// Per-solve budget: the objective-evaluation cap of the session's
+    /// solver, single or each portfolio member alike (every solver's
+    /// default, `mube_opt::DEFAULT_MAX_EVALUATIONS`, is 20,000).
     pub max_solve_evaluations: u64,
     /// Watchdog wall-clock ceiling per solve, in milliseconds. Every solve
     /// is deadline-bounded by this; a request's `time_budget_ms` can only
@@ -128,7 +125,7 @@ impl Default for ServeConfig {
             write_timeout: Duration::from_secs(10),
             max_sessions: 64,
             idle_ttl: Duration::from_secs(15 * 60),
-            max_solve_evaluations: 20_000,
+            max_solve_evaluations: mube_opt::DEFAULT_MAX_EVALUATIONS,
             max_solve_millis: 30_000,
             data_dir: None,
             fsync: FsyncPolicy::default(),
@@ -1044,18 +1041,6 @@ fn create_catalog(state: &ServerState, req: &Request) -> Result<(u16, String), A
     Ok((201, j.finish()))
 }
 
-fn make_solver(name: &str, max_evaluations: u64) -> Box<dyn SubsetSolver> {
-    match name {
-        "sls" => Box::new(StochasticLocalSearch::default()),
-        "annealing" => Box::new(SimulatedAnnealing::default()),
-        "pso" => Box::new(ParticleSwarm::default()),
-        _ => Box::new(TabuSearch {
-            max_evaluations,
-            ..TabuSearch::default()
-        }),
-    }
-}
-
 /// Upper bounds on the compute one `POST /sessions` may reserve. Exceeding
 /// any of them is a 422 `invalid_parameter` carrying lint code `MUBE015`
 /// (see PROTOCOL.md).
@@ -1298,14 +1283,7 @@ fn build_session_from_body(
         }
     }
 
-    let has_mttf = universe
-        .sources()
-        .any(|s| s.characteristic("mttf").is_some());
-    let mut qefs = if has_mttf {
-        paper_default_qefs("mttf")
-    } else {
-        data_only_qefs()
-    };
+    let mut qefs = default_qefs_for(&universe);
     if let Some(weights) = body.get("weights") {
         let members = weights
             .as_object()
@@ -1339,15 +1317,24 @@ fn build_session_from_body(
         .map_err(|e| conflict_error(&e, &universe, &constraints))?;
 
     let seed = body.get("seed").and_then(Json::as_u64).unwrap_or(0);
-    let solver_name = body
-        .get("solver")
-        .and_then(Json::as_str)
-        .unwrap_or("tabu")
-        .to_string();
+    let solver_name = match body.get("solver") {
+        Some(v) => {
+            let name = v.as_str().ok_or_else(|| {
+                ApiError::new(400, "bad_request", "`solver` must be a solver name")
+            })?;
+            mube_opt::canonical_solver(name).ok_or_else(|| {
+                ApiError::new(
+                    422,
+                    "invalid_parameter",
+                    &format!("unknown solver `{name}` (expected tabu, sls, anneal, or pso)"),
+                )
+            })?
+        }
+        None => "tabu",
+    };
 
     // Portfolio mode: `portfolio` names the members; `threads` alone (or
-    // `restarts` > 1) engages the default spec so thread-count comparisons
-    // exercise the same code path.
+    // `restarts` > 1) engages the default mix (`implied_portfolio`).
     let threads = match body.get("threads") {
         Some(v) => {
             let n = v.as_usize().filter(|&n| n >= 1).ok_or_else(|| {
@@ -1369,7 +1356,7 @@ fn build_session_from_body(
     if restarts > MAX_RESTARTS {
         return Err(bound_error("restarts", restarts, MAX_RESTARTS));
     }
-    let mut portfolio_spec = match body.get("portfolio") {
+    let portfolio_spec = match body.get("portfolio") {
         Some(v) => {
             let spec = v.as_str().ok_or_else(|| {
                 ApiError::new(400, "bad_request", "`portfolio` must be a spec string")
@@ -1378,13 +1365,12 @@ fn build_session_from_body(
         }
         None => None,
     };
-    if portfolio_spec.is_none() && (threads.is_some() || restarts > 1) {
-        portfolio_spec = Some("tabu,sls,anneal,pso".to_string());
-    }
-    let (solver, solver_name): (Box<dyn SubsetSolver>, String) = match portfolio_spec {
+    // Every solver, single or portfolio member, carries the server's
+    // per-solve evaluation cap, so all solves stay bounded.
+    let implied = mube_opt::implied_portfolio(portfolio_spec, threads.is_some(), restarts);
+    let solver: Box<dyn SubsetSolver> = match implied {
         Some(spec) => {
-            // Members carry the server's per-solve evaluation cap, same as
-            // single-solver sessions, so portfolio solves stay bounded.
+            // Bound the member count before building any member.
             let names = mube_opt::parse_portfolio_spec(&spec)
                 .map_err(|e| ApiError::new(422, "invalid_parameter", &e))?;
             let total_members = names.len() * restarts;
@@ -1395,24 +1381,13 @@ fn build_session_from_body(
                     MAX_PORTFOLIO_MEMBERS,
                 ));
             }
-            let mut members: Vec<Box<dyn SubsetSolver>> = Vec::new();
-            for _ in 0..restarts {
-                for name in &names {
-                    members.push(
-                        mube_opt::budgeted_member(name, max_solve_evaluations)
-                            .expect("spec names are canonical"),
-                    );
-                }
-            }
-            let pf = Portfolio::new(members).threads(threads.unwrap_or(1));
-            let label = pf.name().to_string();
-            (Box::new(pf), label)
+            let pf = Portfolio::from_spec(&spec, restarts, max_solve_evaluations)
+                .expect("spec parsed above");
+            Box::new(pf.threads(threads.unwrap_or(1)))
         }
-        None => (
-            make_solver(&solver_name, max_solve_evaluations),
-            solver_name,
-        ),
+        None => mube_opt::solver(solver_name, max_solve_evaluations).expect("name is canonical"),
     };
+    let solver_name = solver.name().to_string();
     let mut session = Session::new(problem, solver, seed);
     if body.get("continuity").and_then(Json::as_bool) == Some(true) {
         session = session.with_continuity();

@@ -2,13 +2,16 @@
 //! request parser and the replication frame reader. Both sit on untrusted
 //! network input, so the contracts are strict — never panic, never accept
 //! corrupt input, and for the frame reader: decode the good prefix of a
-//! torn or corrupted stream, then stop cleanly.
+//! torn or corrupted stream, then stop cleanly. The JSON body parser's
+//! string path is held to the shared writer: every string it emits parses
+//! back unchanged.
 
 use std::io::Cursor;
 
+use mube_core::jsonw::JsonBuf;
 use mube_serve::persist::encode_event_frame;
 use mube_serve::repl::{encode_heartbeat, encode_reset, FrameReader, TAG_HEARTBEAT, TAG_RESET};
-use mube_serve::{http, Event};
+use mube_serve::{http, Event, Json};
 use proptest::prelude::*;
 
 const MAX_BODY: usize = 1 << 20;
@@ -51,6 +54,25 @@ fn frame_stream() -> impl Strategy<Value = Vec<u8>> {
     )
 }
 
+/// Arbitrary strings, weighted toward what JSON escaping must handle: ASCII
+/// control characters, quotes, backslashes, and 2-, 3- and 4-byte scalars.
+fn any_string() -> impl Strategy<Value = String> {
+    proptest::collection::vec((0u8..4, any::<u32>()), 0..48).prop_map(|picks| {
+        picks
+            .iter()
+            .map(|&(kind, x)| {
+                let code = match kind {
+                    0 => x % 0x80,
+                    1 => [0x22, 0x5c, 0x2f, 0x7f][x as usize % 4],
+                    2 => 0x80 + x % (0x1_0000 - 0x80),
+                    _ => x % 0x11_0000,
+                };
+                char::from_u32(code).unwrap_or('\u{fffd}')
+            })
+            .collect()
+    })
+}
+
 /// Decodes everything the reader can produce; panics bubble up to proptest.
 fn drain(reader: &mut FrameReader) -> (usize, bool) {
     let mut decoded = 0;
@@ -71,6 +93,19 @@ proptest! {
     #[test]
     fn http_parser_never_panics(input in proptest::collection::vec(any::<u8>(), 0..2048)) {
         let _ = http::read_request(&mut Cursor::new(input), MAX_BODY);
+    }
+
+    /// Any string written by the shared `jsonw` writer, as a key or a
+    /// value, parses back to an equal string.
+    #[test]
+    fn json_strings_round_trip_through_the_writer(key in any_string(), value in any_string()) {
+        let mut j = JsonBuf::new();
+        j.begin_obj();
+        j.key(&key).str_value(&value);
+        j.end_obj();
+        let text = j.finish();
+        let parsed = Json::parse(&text).map_err(|e| TestCaseError::fail(format!("{e}: {text:?}")))?;
+        prop_assert_eq!(parsed, Json::Obj(vec![(key, Json::Str(value))]));
     }
 
     /// Hostile-but-structured request heads also never panic, and header

@@ -480,6 +480,67 @@ fn portfolio_sessions_are_thread_count_invariant() {
 }
 
 #[test]
+fn solver_field_goes_through_the_solver_table() {
+    let (handle, join) = spawn(2);
+    let addr = handle.addr();
+    let catalog_id = upload_catalog(addr, 12, 29);
+
+    // An unknown name is a 422 worded like an unknown portfolio member; a
+    // non-string is a 400. Neither silently runs tabu any more.
+    let body = format!("{{\"catalog\":{catalog_id},\"solver\":\"genetic\"}}");
+    let (status, v) = request(addr, "POST", "/sessions", &body);
+    assert_eq!(status, 422, "{v:?}");
+    let err = v.get("error").expect("error object");
+    assert_eq!(
+        err.get("code").and_then(Json::as_str),
+        Some("invalid_parameter")
+    );
+    assert_eq!(
+        err.get("message").and_then(Json::as_str),
+        Some("unknown solver `genetic` (expected tabu, sls, anneal, or pso)")
+    );
+    for bad in ["7", "null", "[\"tabu\"]"] {
+        let body = format!("{{\"catalog\":{catalog_id},\"solver\":{bad}}}");
+        let (status, v) = request(addr, "POST", "/sessions", &body);
+        assert_eq!(status, 400, "{bad}: {v:?}");
+        let code = v.get("error").and_then(|e| e.get("code"));
+        assert_eq!(code.and_then(Json::as_str), Some("bad_request"), "{v:?}");
+    }
+
+    // `anneal` canonicalizes as it does in `portfolio`, and every single
+    // solver honours the server's evaluation cap like a portfolio member.
+    for (sent, canonical) in [
+        ("anneal", "annealing"),
+        ("annealing", "annealing"),
+        ("sls", "sls"),
+        ("pso", "pso"),
+        ("tabu", "tabu"),
+    ] {
+        let body = format!(
+            "{{\"catalog\":{catalog_id},\"seed\":3,\"max_sources\":5,\"solver\":\"{sent}\"}}"
+        );
+        let (status, v) = request(addr, "POST", "/sessions", &body);
+        assert_eq!(status, 201, "{v:?}");
+        assert_eq!(v.get("solver").and_then(Json::as_str), Some(canonical));
+        let session = v.get("session").and_then(Json::as_u64).expect("session id");
+        let (status, solved) = request(addr, "POST", &format!("/sessions/{session}/solve"), "");
+        assert_eq!(status, 200, "{solved:?}");
+        let evaluations = solved
+            .get("solution")
+            .and_then(|s| s.get("evaluations"))
+            .and_then(Json::as_u64)
+            .expect("evaluations");
+        assert!(
+            (1..=800).contains(&evaluations),
+            "{sent}: {evaluations} evaluations against a cap of 800"
+        );
+    }
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+#[test]
 fn resource_bounds_are_refused_with_a_stable_lint_code() {
     let (handle, join) = spawn(2);
     let addr = handle.addr();
