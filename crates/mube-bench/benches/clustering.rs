@@ -29,6 +29,27 @@ fn bench_match(c: &mut Criterion) {
     group.finish();
 }
 
+/// The shape `paper_solve` runs: `k` sources of the 700-source paper-scale
+/// universe at θ = 0.75.
+fn bench_match_paper(c: &mut Criterion) {
+    let setup = Setup::paper(700);
+    let mut group = c.benchmark_group("cluster_match_paper");
+    for &k in &[10usize, 20, 40] {
+        let sources: BTreeSet<SourceId> = setup.universe().source_ids().take(k).collect();
+        let constraints = Constraints::with_max_sources(k).theta(0.75);
+        group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
+            b.iter(|| {
+                setup.matcher.match_sources(
+                    setup.universe(),
+                    black_box(&sources),
+                    black_box(&constraints),
+                )
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_match_with_ga_constraints(c: &mut Criterion) {
     let setup = Setup::small(60);
     let sources: BTreeSet<SourceId> = setup.universe().source_ids().take(20).collect();
@@ -69,6 +90,7 @@ fn bench_similarity_cache_build(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_match,
+    bench_match_paper,
     bench_match_with_ga_constraints,
     bench_similarity_cache_build
 );

@@ -30,11 +30,14 @@ impl GlobalAttribute {
         if attrs.is_empty() {
             return Err(MubeError::EmptyGa);
         }
-        let mut sources = BTreeSet::new();
+        // Attributes sort by (source, index), so two from one source are
+        // neighbours.
+        let mut prev = None;
         for a in &attrs {
-            if !sources.insert(a.source) {
+            if prev == Some(a.source) {
                 return Err(MubeError::GaSourceConflict { source: a.source });
             }
+            prev = Some(a.source);
         }
         Ok(GlobalAttribute { attrs })
     }

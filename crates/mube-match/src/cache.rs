@@ -12,8 +12,18 @@
 //! dense `distinct × distinct` matrix of `f32` similarities. A universe
 //! with thousands of sources but a few hundred distinct names costs well
 //! under a megabyte.
+//!
+//! Next to the matrix the cache keeps, per name, a **neighbour list**: every
+//! name whose similarity to it is above 0 (the name itself included, at
+//! 1.0), sorted by similarity descending, then by name id. The lists do not
+//! depend on `θ`: the names at or above any `θ > 0` are a prefix of the
+//! list. They are built on first use (the first match or cross-source
+//! audit), not by [`SimilarityCache::build`], so a cache that is only
+//! stored costs nothing extra; everyone sharing the cache shares the lists.
+//! They hold one `u32` per non-zero cell, so they never outgrow the matrix.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use mube_core::ids::AttrId;
 use mube_core::source::Universe;
@@ -30,6 +40,15 @@ pub struct SimilarityCache {
     matrix: Vec<f32>,
     /// Name of the measure used, for reports.
     measure_name: String,
+    /// Per-name neighbour lists, built on first use.
+    neighbours: OnceLock<NeighbourLists>,
+}
+
+/// Every name's neighbours, concatenated: name `n`'s list is
+/// `names[offsets[n]..offsets[n + 1]]`.
+struct NeighbourLists {
+    offsets: Vec<usize>,
+    names: Vec<u32>,
 }
 
 /// Below this many distinct names the matrix is so small that thread
@@ -120,6 +139,7 @@ impl SimilarityCache {
             distinct,
             matrix,
             measure_name: measure.name().to_string(),
+            neighbours: OnceLock::new(),
         }
     }
 
@@ -161,35 +181,79 @@ impl SimilarityCache {
         self.matrix.len() * std::mem::size_of::<f32>()
     }
 
+    /// The names whose similarity to name `name` is above 0 — `name`
+    /// itself included — by similarity descending, then by name id. NaN and
+    /// non-positive similarities are left out.
+    pub(crate) fn neighbours(&self, name: u32) -> &[u32] {
+        let lists = self.neighbours.get_or_init(|| self.build_neighbours());
+        let n = name as usize;
+        &lists.names[lists.offsets[n]..lists.offsets[n + 1]]
+    }
+
+    fn build_neighbours(&self) -> NeighbourLists {
+        let d = self.distinct;
+        let mut offsets = Vec::with_capacity(d + 1);
+        let mut names = Vec::new();
+        offsets.push(0);
+        for row in self.matrix.chunks_exact(d.max(1)).take(d) {
+            let start = names.len();
+            names.extend((0..d as u32).filter(|&j| row[j as usize] > 0.0));
+            // Stable sort of ids taken in ascending order: equal
+            // similarities stay by name id.
+            names[start..].sort_by(|&a, &b| row[b as usize].total_cmp(&row[a as usize]));
+            offsets.push(names.len());
+        }
+        NeighbourLists { offsets, names }
+    }
+
+    /// Each source's distinct interned names, ascending.
+    fn source_name_sets(&self) -> Vec<Vec<u32>> {
+        self.name_ids
+            .iter()
+            .map(|ids| {
+                let mut set = ids.clone();
+                set.sort_unstable();
+                set.dedup();
+                set
+            })
+            .collect()
+    }
+
     /// For each source (indexed by source id), the best similarity any of
     /// its attributes reaches against an attribute of a *different* source.
     ///
     /// This is the per-source upper bound on cluster cohesion: a source
     /// whose best cross-source similarity is below `θ` can never join a
     /// non-seed GA. Sources of a single-source universe score `0.0`.
+    ///
+    /// For each of a source's names, the first entry of its neighbour list
+    /// that some other source holds is that name's best cross-source
+    /// partner, so the scan costs one short list walk per name instead of
+    /// one pass over every pair of sources.
     pub fn per_source_best_cross_sim(&self) -> Vec<f64> {
-        let sets: Vec<std::collections::BTreeSet<u32>> = self
-            .name_ids
-            .iter()
-            .map(|ids| ids.iter().copied().collect())
-            .collect();
-        let mut best = vec![0.0f64; sets.len()];
-        for i in 0..sets.len() {
-            for j in (i + 1)..sets.len() {
-                for &a in &sets[i] {
-                    for &b in &sets[j] {
-                        let s = self.sim_by_name_id(a, b);
-                        if s > best[i] {
-                            best[i] = s;
-                        }
-                        if s > best[j] {
-                            best[j] = s;
+        let sets = self.source_name_sets();
+        let mut holders = vec![0u32; self.distinct];
+        for &n in sets.iter().flatten() {
+            holders[n as usize] += 1;
+        }
+        sets.iter()
+            .map(|set| {
+                let mut best = 0.0f64;
+                for &n in set {
+                    let partner = self
+                        .neighbours(n)
+                        .iter()
+                        .find(|&&m| holders[m as usize] > u32::from(set.binary_search(&m).is_ok()));
+                    if let Some(&m) = partner {
+                        let s = self.sim_by_name_id(n, m);
+                        if s > best {
+                            best = s;
                         }
                     }
                 }
-            }
-        }
-        best
+                best
+            })
+            .collect()
     }
 
     /// The best similarity achievable between attributes of two *different*
@@ -216,6 +280,29 @@ pub fn theta_upper_bound(universe: &Universe, measure: &dyn Similarity) -> f64 {
 mod tests {
     use super::*;
     use crate::similarity::JaccardNGram;
+
+    /// The pairwise definition of [`SimilarityCache::per_source_best_cross_sim`]:
+    /// every pair of sources, every pair of their names. O(S²·a²).
+    fn per_source_best_cross_sim_pairwise(cache: &SimilarityCache) -> Vec<f64> {
+        let sets = cache.source_name_sets();
+        let mut best = vec![0.0f64; sets.len()];
+        for i in 0..sets.len() {
+            for j in (i + 1)..sets.len() {
+                for &a in &sets[i] {
+                    for &b in &sets[j] {
+                        let s = cache.sim_by_name_id(a, b);
+                        if s > best[i] {
+                            best[i] = s;
+                        }
+                        if s > best[j] {
+                            best[j] = s;
+                        }
+                    }
+                }
+            }
+        }
+        best
+    }
     use mube_core::ids::SourceId;
     use mube_core::schema::Schema;
     use mube_core::source::SourceSpec;
@@ -376,6 +463,83 @@ mod tests {
         }
         for h in handles {
             h.join().expect("reader thread panicked");
+        }
+    }
+
+    /// A measure with NaN, negative and signed-zero values, to check that
+    /// the neighbour lists keep exactly the cells above 0.
+    struct Erratic;
+
+    impl Similarity for Erratic {
+        fn name(&self) -> &str {
+            "erratic"
+        }
+
+        fn similarity(&self, a: &str, b: &str) -> f64 {
+            match (a.len() + b.len()) % 5 {
+                0 => f64::NAN,
+                1 => -0.5,
+                2 => -0.0,
+                _ => JaccardNGram::trigram().similarity(a, b),
+            }
+        }
+    }
+
+    #[test]
+    fn neighbour_lists_hold_positive_cells_best_first() {
+        for measure in [&JaccardNGram::trigram() as &dyn Similarity, &Erratic] {
+            let u = wide_universe();
+            let cache = SimilarityCache::build(&u, measure);
+            let d = cache.distinct_names() as u32;
+            for n in 0..d {
+                let list = cache.neighbours(n);
+                let expected: Vec<u32> = (0..d)
+                    .filter(|&m| cache.sim_by_name_id(n, m) > 0.0)
+                    .collect();
+                let mut sorted = list.to_vec();
+                sorted.sort_unstable();
+                assert_eq!(sorted, expected, "name {n} under {}", measure.name());
+                assert!(list.contains(&n), "a name is its own neighbour");
+                for w in list.windows(2) {
+                    let (s0, s1) = (cache.sim_by_name_id(n, w[0]), cache.sim_by_name_id(n, w[1]));
+                    assert!(s0 > s1 || (s0 == s1 && w[0] < w[1]), "{n}: {w:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cross_source_scan_equals_the_pairwise_definition() {
+        let mut shared = Universe::builder();
+        shared.add_source(SourceSpec::new(
+            "a",
+            Schema::new(["title", "title", "isbn"]),
+        ));
+        shared.add_source(SourceSpec::new("b", Schema::new(["isbn", "titles"])));
+        shared.add_source(SourceSpec::new("c", Schema::new(["zzzzzz", "title"])));
+        shared.add_source(SourceSpec::new("d", Schema::new(["qqqq"])));
+        let mut single = Universe::builder();
+        single.add_source(SourceSpec::new("only", Schema::new(["x", "x copy", "x"])));
+        let universes = [
+            universe(),
+            wide_universe(),
+            shared.build().unwrap(),
+            single.build().unwrap(),
+        ];
+        for u in &universes {
+            for measure in [&JaccardNGram::trigram() as &dyn Similarity, &Erratic] {
+                let cache = SimilarityCache::build(u, measure);
+                let fast: Vec<u64> = cache
+                    .per_source_best_cross_sim()
+                    .iter()
+                    .map(|s| s.to_bits())
+                    .collect();
+                let slow: Vec<u64> = per_source_best_cross_sim_pairwise(&cache)
+                    .iter()
+                    .map(|s| s.to_bits())
+                    .collect();
+                assert_eq!(fast, slow, "{} on {} sources", measure.name(), u.len());
+            }
         }
     }
 

@@ -1316,7 +1316,18 @@ fn build_session_from_body(
     let problem = Problem::new(Arc::clone(&universe), matcher, qefs, constraints.clone())
         .map_err(|e| conflict_error(&e, &universe, &constraints))?;
 
-    let seed = body.get("seed").and_then(Json::as_u64).unwrap_or(0);
+    let seed = match body.get("seed") {
+        Some(v) => v.as_u64().ok_or_else(|| {
+            ApiError::new(400, "bad_request", "`seed` must be a non-negative integer")
+        })?,
+        None => 0,
+    };
+    let continuity = match body.get("continuity") {
+        Some(v) => v
+            .as_bool()
+            .ok_or_else(|| ApiError::new(400, "bad_request", "`continuity` must be a boolean"))?,
+        None => false,
+    };
     let solver_name = match body.get("solver") {
         Some(v) => {
             let name = v.as_str().ok_or_else(|| {
@@ -1389,7 +1400,7 @@ fn build_session_from_body(
     };
     let solver_name = solver.name().to_string();
     let mut session = Session::new(problem, solver, seed);
-    if body.get("continuity").and_then(Json::as_bool) == Some(true) {
+    if continuity {
         session = session.with_continuity();
     }
     Ok(BuiltSession {

@@ -541,6 +541,45 @@ fn solver_field_goes_through_the_solver_table() {
 }
 
 #[test]
+fn seed_and_continuity_must_have_their_types() {
+    let (handle, join) = spawn(2);
+    let addr = handle.addr();
+    let catalog_id = upload_catalog(addr, 8, 31);
+
+    // A wrongly-typed `seed` or `continuity` is a 400, not a silent
+    // default (seed 0, no continuity).
+    for bad in [
+        "\"seed\":\"7\"",
+        "\"seed\":-3",
+        "\"seed\":1.5",
+        "\"seed\":null",
+        "\"continuity\":\"yes\"",
+        "\"continuity\":1",
+        "\"continuity\":null",
+    ] {
+        let body = format!("{{\"catalog\":{catalog_id},{bad}}}");
+        let (status, v) = request(addr, "POST", "/sessions", &body);
+        assert_eq!(status, 400, "{bad}: {v:?}");
+        let code = v.get("error").and_then(|e| e.get("code"));
+        assert_eq!(code.and_then(Json::as_str), Some("bad_request"), "{v:?}");
+    }
+
+    for (fields, seed) in [
+        ("\"seed\":7,\"continuity\":true", 7),
+        ("\"seed\":0,\"continuity\":false", 0),
+        ("\"max_sources\":4", 0),
+    ] {
+        let body = format!("{{\"catalog\":{catalog_id},{fields}}}");
+        let (status, v) = request(addr, "POST", "/sessions", &body);
+        assert_eq!(status, 201, "{fields}: {v:?}");
+        assert_eq!(v.get("seed").and_then(Json::as_u64), Some(seed), "{fields}");
+    }
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+#[test]
 fn resource_bounds_are_refused_with_a_stable_lint_code() {
     let (handle, join) = spawn(2);
     let addr = handle.addr();
